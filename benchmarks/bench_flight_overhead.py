@@ -3,16 +3,16 @@
 The flight recorder's contract (docs/observability.md) is two-sided:
 
 - **disarmed** — one attribute check per query, ~0% overhead; and
-- **armed**    — <3% mean per-query latency, achieved by a lean engine
-  path (`QueryEngine._answer_flight`) that records the full 22-field
-  flight tuple without touching the span/metrics machinery.
+- **armed**    — <3% mean per-query latency: the engine's one answer
+  pipeline builds the 22-field per-query record once and hands it to
+  the ring, touching no span/metrics machinery while those are off.
 
 This benchmark measures mean per-query latency under three
 configurations on the same workload:
 
 - ``disabled``       — nothing armed (the default)
-- ``flight``         — flight recorder alone (the lean path)
-- ``flight+metrics`` — flight riding on the fully observed path
+- ``flight``         — flight recorder alone
+- ``flight+metrics`` — flight and metrics reading the same record
 
 The armed budget is enforced here (best-of-N minima are stable enough
 for a 3% bound; the disarmed ~0% claim is covered by the tighter <2%

@@ -13,6 +13,13 @@ the two concerns so they can be cached and optimised independently:
 - **Execution** (:meth:`QueryEngine.execute`): the concatenation scan over
   the surviving label slices, reading moments from the columnar views.
 
+:meth:`QueryEngine.answer` is the one pipeline every query takes:
+validate → plan → execute.  When any observability sink is on (metrics,
+tracing, the slow-query log, the flight recorder) or a deadline is set,
+the pipeline also times the two phases and fills one per-query record —
+a flight-record tuple (``repro.obs.flight.FLIGHT_FIELDS``) holding this
+query's own counts, cache hits and timings — which every sink reads.
+
 Index maintenance must call :meth:`invalidate_plans` after mutating labels
 (the separator cache survives: it depends only on the immutable tree
 decomposition).  Statistics are accumulated at execution time, so a cached
@@ -24,12 +31,14 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from time import perf_counter
+from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.core.kernels import active_backend
+from repro.core.kernels import BACKEND
+from repro.core.kernels.reference import best_label, scan_pairs
 from repro.core.pathsummary import PathSummary, concatenate, edge_path, trivial_path
 from repro.core.pruning import LabelPathSet, prune_correlated, prune_pair
+from repro.core.query import QueryResult, QueryStats
 from repro.obs import get_flight_recorder, get_registry, get_slow_query_log, get_tracer
 from repro.obs.flight import result_digest
 from repro.resilience.degraded import mean_shortest_path
@@ -38,7 +47,6 @@ from repro.stats.zscores import z_value
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.index import IndexPlane, NRPIndex
-    from repro.core.query import QueryResult, QueryStats
 
 __all__ = ["QueryEngine", "QueryPlan", "HoplinkTask", "BoundedCache"]
 
@@ -137,6 +145,7 @@ class QueryPlan:
         "deeper",
         "other",
         "lca",
+        "lca_depth",
         "separator_s",
         "separator_t",
         "hoplinks",
@@ -157,6 +166,7 @@ class QueryPlan:
         self.deeper = -1
         self.other = -1
         self.lca: int | None = None
+        self.lca_depth = -1
         self.separator_s: frozenset[int] = frozenset()
         self.separator_t: frozenset[int] = frozenset()
         self.hoplinks: tuple[int, ...] = ()
@@ -201,11 +211,8 @@ class QueryEngine:
         self._c_sep_miss = reg.counter("engine.separator_cache.miss")
         self._c_slow = reg.counter("engine.slow_queries")
         self._c_degraded = reg.counter("resilience.query.degraded")
+        self._c_prune = reg.counter("kernels.calls.prune")
         self._c_scan = reg.counter("kernels.calls.scan")
-        self._c_backend = {
-            "python": reg.counter("kernels.backend.python"),
-            "vector": reg.counter("kernels.backend.vector"),
-        }
         self._t_answer = reg.timer("engine.answer")
         self._t_plan = reg.timer("engine.plan")
         self._t_execute = reg.timer("engine.execute")
@@ -227,16 +234,19 @@ class QueryEngine:
 
     def separators(self, s: int, t: int) -> tuple[set[int], set[int]]:
         """Memoised ``td.separators``; safe across maintenance (td is fixed)."""
+        return self._lookup_separators(s, t)[0]
+
+    def _lookup_separators(
+        self, s: int, t: int
+    ) -> tuple[tuple[set[int], set[int]], bool]:
+        """``(separators, served from the cache?)``."""
         key = (s, t)
         cached = self._separator_cache.get(key)
-        if cached is None:
-            if self._registry.enabled:
-                self._c_sep_miss.inc()
-            cached = self.index.td.separators(s, t)
-            self._separator_cache.put(key, cached)
-        elif self._registry.enabled:
-            self._c_sep_hit.inc()
-        return cached
+        if cached is not None:
+            return cached, True
+        cached = self.index.td.separators(s, t)
+        self._separator_cache.put(key, cached)
+        return cached, False
 
     def hoplinks(self, s: int, t: int) -> set[int]:
         """The smaller of the two Lemma-1 candidate separators."""
@@ -246,26 +256,25 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _validate(self, alpha: float) -> None:
-        if not 0.0 < alpha < 1.0:
-            raise QueryValidationError(f"alpha must lie in (0, 1), got {alpha}")
-        index = self.index
-        if index.z_max is not None:
-            z = self.z_of(alpha)
-            if abs(z) > index.z_max:
-                raise QueryValidationError(
-                    f"alpha={alpha} needs |Z|={abs(z):.3f} > the index's practical "
-                    f"refine bound z_max={index.z_max} (labels would be "
-                    f"incomplete); build with a larger z_max or z_max=None"
-                )
-
-    def _validate_nodes(self, s: int, t: int) -> None:
+    def _validate(self, s: int, t: int, alpha: float) -> float:
+        """Reject a bad query with :class:`QueryValidationError`; return ``Z_alpha``."""
         graph = self.index.graph
         for name, v in (("source", s), ("target", t)):
             if not graph.has_vertex(v):
                 raise QueryValidationError(
                     f"{name} vertex {v} is not in the indexed graph"
                 )
+        if not 0.0 < alpha < 1.0:
+            raise QueryValidationError(f"alpha must lie in (0, 1), got {alpha}")
+        z = self.z_of(alpha)
+        z_max = self.index.z_max
+        if z_max is not None and abs(z) > z_max:
+            raise QueryValidationError(
+                f"alpha={alpha} needs |Z|={abs(z):.3f} > the index's practical "
+                f"refine bound z_max={z_max} (labels would be "
+                f"incomplete); build with a larger z_max or z_max=None"
+            )
+        return z
 
     def plan(
         self,
@@ -276,39 +285,47 @@ class QueryEngine:
         *,
         sort_hoplinks: bool = False,
         use_cache: bool = False,
-        backend: Any = None,
     ) -> QueryPlan:
-        """Build the plan for one query.
+        """Validate the query and build (or, with ``use_cache``, reuse) its plan.
 
         ``use_cache=True`` memoises the plan per ``(s, t, alpha, pruning)``
         — the batch path's repeated-triple optimisation (single queries
         plan fresh, like the pre-engine code).  ``sort_hoplinks`` yields
         deterministic hoplink order for explanations; those plans always
-        bypass the cache.  ``backend`` pins the kernel backend for the
-        pruning passes; the cache key ignores it because both backends
-        return bit-identical survivor sets.
+        bypass the cache.
         """
-        self._validate(alpha)
-        z = self.z_of(alpha)
+        z = self._validate(s, t, alpha)
+        return self._plan(s, t, alpha, z, use_pruning, use_cache, sort_hoplinks)[0]
+
+    def _plan(
+        self,
+        s: int,
+        t: int,
+        alpha: float,
+        z: float,
+        use_pruning: bool,
+        use_cache: bool,
+        sort_hoplinks: bool = False,
+    ) -> tuple[QueryPlan, bool, bool]:
+        """``(plan, plan-cache hit, separator-cache hit)`` for a valid query.
+
+        The two flags say what this call really did: a plan-cache hit
+        consults no separators, so it reports no separator hit.
+        """
         if s == t:
-            return QueryPlan(s, t, alpha, z, "trivial")
-        index = self.index
-        plane = index.plane_for(alpha)
+            return QueryPlan(s, t, alpha, z, "trivial"), False, False
+        plane = self.index.plane_for(alpha)
         pruning = use_pruning and plane.direction != "low"
         use_cache = use_cache and not sort_hoplinks
         key = (s, t, alpha, pruning)
         if use_cache:
             cached = self._plan_cache.get(key)
             if cached is not None:
-                if self._registry.enabled:
-                    self._c_plan_hit.inc()
-                return cached
-            if self._registry.enabled:
-                self._c_plan_miss.inc()
-        plan = self._build_plan(s, t, alpha, z, plane, pruning, sort_hoplinks, backend)
+                return cached, True, False
+        plan, sep_hit = self._build_plan(s, t, alpha, z, plane, pruning, sort_hoplinks)
         if use_cache:
             self._plan_cache.put(key, plan)
-        return plan
+        return plan, False, sep_hit
 
     def _build_plan(
         self,
@@ -319,10 +336,7 @@ class QueryEngine:
         plane: "IndexPlane",
         pruning: bool,
         sort_hoplinks: bool,
-        backend: Any = None,
-    ) -> QueryPlan:
-        if backend is None:
-            backend = active_backend()
+    ) -> tuple[QueryPlan, bool]:
         td = self.index.td
         labels = plane.labels
         ancestor = td.lca(s, t)
@@ -331,16 +345,18 @@ class QueryEngine:
             plan.plane = plane
             plan.pruning = pruning
             plan.lca = ancestor
+            plan.lca_depth = td.depth[ancestor]
             plan.deeper = t if ancestor == s else s
             plan.other = s if ancestor == s else t
-            return plan
+            return plan, False
 
-        separator_s, separator_t = self.separators(s, t)
+        (separator_s, separator_t), sep_hit = self._lookup_separators(s, t)
         hoplinks = separator_s if len(separator_s) <= len(separator_t) else separator_t
         plan = QueryPlan(s, t, alpha, z, "separator")
         plan.plane = plane
         plan.pruning = pruning
         plan.lca = ancestor
+        plan.lca_depth = td.depth[ancestor]
         plan.separator_s = frozenset(separator_s)
         plan.separator_t = frozenset(separator_t)
         ordered = sorted(hoplinks) if sort_hoplinks else tuple(hoplinks)
@@ -352,13 +368,9 @@ class QueryEngine:
             set_ht = labels[t][h]
             if pruning:
                 if correlated:
-                    idx_sh, idx_ht = prune_correlated(
-                        set_sh, set_ht, alpha, prune_counts, backend
-                    )
+                    idx_sh, idx_ht = prune_correlated(set_sh, set_ht, alpha, prune_counts)
                 else:
-                    idx_sh, idx_ht = prune_pair(
-                        set_sh, set_ht, alpha, prune_counts, backend
-                    )
+                    idx_sh, idx_ht = prune_pair(set_sh, set_ht, alpha, prune_counts)
             else:
                 idx_sh = range(len(set_sh))
                 idx_ht = range(len(set_ht))
@@ -367,67 +379,52 @@ class QueryEngine:
             plan.pruned_prop5 = prune_counts[0]
         else:
             plan.pruned_prop2, plan.pruned_prop3 = prune_counts
-        return plan
+        return plan, sep_hit
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def scan_hoplink(
-        self, task: HoplinkTask, z: float, backend: Any = None
-    ) -> tuple[float, int, int]:
+    def scan_hoplink(self, task: HoplinkTask, z: float) -> tuple[float, int, int]:
         """Best concatenation over one hoplink's surviving index pairs.
 
         Returns ``(value, i, j)`` (``math.inf, -1, -1`` when no pair
-        exists).  The independent case runs the kernel layer's
-        ``scan_pairs`` over the columnar views; the correlated case needs
-        the path objects for their junction windows.
+        exists).  The independent case runs the ``scan_pairs`` kernel over
+        the columnar views; the correlated case needs the path objects for
+        their junction windows.
         """
         index = self.index
-        best_value = math.inf
-        best_i = best_j = -1
         set_sh, set_ht = task.set_sh, task.set_ht
         idx_sh, idx_ht = task.idx_sh, task.idx_ht
         if not index.correlated:
-            if backend is None:
-                backend = active_backend()
-            if self._registry.enabled:
-                self._c_scan.inc()
-            mus_sh, _, vars_sh, _, _ = set_sh.columns(backend)
-            mus_ht, _, vars_ht, _, _ = set_ht.columns(backend)
-            return backend.scan_pairs(
-                mus_sh, vars_sh, mus_ht, vars_ht, idx_sh, idx_ht, z
-            )
-        else:
-            cov = index.cov
-            h = task.hoplink
-            paths_sh = set_sh.paths
-            paths_ht = set_ht.paths
-            for i in idx_sh:
-                p1 = paths_sh[i]
-                w1 = p1.window_at(h)
-                for j in idx_ht:
-                    p2 = paths_ht[j]
-                    var = p1.var + p2.var + 2.0 * cov.cross_covariance(
-                        w1, p2.window_at(h)
-                    )
-                    if var < 0.0:
-                        var = 0.0
-                    value = p1.mu + p2.mu + z * math.sqrt(var)
-                    if value < best_value:
-                        best_value = value
-                        best_i, best_j = i, j
+            mus_sh, _, vars_sh, _, _ = set_sh.columns()
+            mus_ht, _, vars_ht, _, _ = set_ht.columns()
+            return scan_pairs(mus_sh, vars_sh, mus_ht, vars_ht, idx_sh, idx_ht, z)
+        best_value = math.inf
+        best_i = best_j = -1
+        cov = index.cov
+        h = task.hoplink
+        paths_sh = set_sh.paths
+        paths_ht = set_ht.paths
+        for i in idx_sh:
+            p1 = paths_sh[i]
+            w1 = p1.window_at(h)
+            for j in idx_ht:
+                p2 = paths_ht[j]
+                var = p1.var + p2.var + 2.0 * cov.cross_covariance(
+                    w1, p2.window_at(h)
+                )
+                if var < 0.0:
+                    var = 0.0
+                value = p1.mu + p2.mu + z * math.sqrt(var)
+                if value < best_value:
+                    best_value = value
+                    best_i, best_j = i, j
         return best_value, best_i, best_j
 
-    def best_in_label(
-        self, label_set: LabelPathSet, z: float, backend: Any = None
-    ) -> tuple[float, int]:
+    def best_in_label(self, label_set: LabelPathSet, z: float) -> tuple[float, int]:
         """Best stored path of one label entry at ``Z_alpha = z``."""
-        if backend is None:
-            backend = active_backend()
-        if self._registry.enabled:
-            self._c_scan.inc()
-        mus, sigmas, _, _, _ = label_set.columns(backend)
-        value, best_i = backend.best_label(mus, sigmas, z)
+        mus, sigmas, _, _, _ = label_set.columns()
+        value, best_i = best_label(mus, sigmas, z)
         if best_i < 0:
             raise ValueError("empty label entry")
         return value, best_i
@@ -438,19 +435,13 @@ class QueryEngine:
         stats: "QueryStats",
         *,
         deadline_at: "float | None" = None,
-        backend: Any = None,
     ) -> "QueryResult":
         """Run the concatenation scan of one plan, accumulating ``stats``.
 
-        ``deadline_at`` (absolute ``perf_counter`` time) is checked between
-        hoplink tasks; expiry raises :class:`DeadlineExpired`, which
+        ``deadline_at`` (absolute ``perf_counter_ns`` time) is checked
+        between hoplink tasks; expiry raises :class:`DeadlineExpired`, which
         :meth:`answer` converts into the degraded mean-only fallback.
-        ``backend`` pins the kernel backend for every scan in this plan.
         """
-        from repro.core.query import QueryResult
-
-        if backend is None:
-            backend = active_backend()
         s, t, alpha = plan.s, plan.t, plan.alpha
         if plan.case == "trivial":
             return QueryResult(s, t, alpha, 0.0, 0.0, 0.0, trivial_path(s), stats)
@@ -463,7 +454,7 @@ class QueryEngine:
             # reads one label entry and Algorithm 2's pair pruning has no
             # opposite set to prune against (see QueryStats docstring).
             stats.surviving_paths += len(label_set)
-            value, i = self.best_in_label(label_set, plan.z, backend)
+            value, i = self.best_in_label(label_set, plan.z)
             best = label_set.paths[i]
             return QueryResult(s, t, alpha, value, best.mu, best.var, best, stats)
 
@@ -472,7 +463,7 @@ class QueryEngine:
         best_task: HoplinkTask | None = None
         best_i = best_j = -1
         for task in plan.tasks:
-            if deadline_at is not None and perf_counter() > deadline_at:
+            if deadline_at is not None and perf_counter_ns() > deadline_at:
                 raise DeadlineExpired(
                     f"query ({s}, {t}, alpha={alpha}) blew its deadline "
                     f"mid-scan"
@@ -481,7 +472,7 @@ class QueryEngine:
             stats.candidate_paths += len(task.set_sh) + len(task.set_ht)
             stats.surviving_paths += len(task.idx_sh) + len(task.idx_ht)
             stats.concatenations += len(task.idx_sh) * len(task.idx_ht)
-            value, i, j = self.scan_hoplink(task, plan.z, backend)
+            value, i, j = self.scan_hoplink(task, plan.z)
             if value < best_value:
                 best_value = value
                 best_task, best_i, best_j = task, i, j
@@ -496,6 +487,33 @@ class QueryEngine:
         )
         return QueryResult(s, t, alpha, best_value, joined.mu, joined.var, joined, stats)
 
+    def _degraded_answer(
+        self, s: int, t: int, alpha: float, stats: "QueryStats"
+    ) -> "QueryResult":
+        """The mean-only fallback: a valid path, exact moments, flagged."""
+        if s == t:
+            return QueryResult(
+                s, t, alpha, 0.0, 0.0, 0.0, trivial_path(s), stats, degraded=True
+            )
+        index = self.index
+        _, route = mean_shortest_path(index.graph, s, t)
+        cov = index.cov if index.correlated else None
+        window = index.window
+        graph = index.graph
+        summary: PathSummary | None = None
+        for u, v in zip(route, route[1:]):
+            weight = graph.edge(u, v)
+            leg = edge_path(u, v, weight.mu, weight.variance, window > 0)
+            summary = (
+                leg if summary is None else concatenate(summary, leg, u, cov, window)
+            )
+        assert summary is not None  # route has >= 2 vertices when s != t
+        z = self.z_of(alpha)
+        value = summary.mu + (z * math.sqrt(summary.var) if summary.var > 0.0 else 0.0)
+        return QueryResult(
+            s, t, alpha, value, summary.mu, summary.var, summary, stats, degraded=True
+        )
+
     # ------------------------------------------------------------------
     # Public entry points
     # ------------------------------------------------------------------
@@ -509,335 +527,118 @@ class QueryEngine:
         *,
         use_cache: bool = False,
         deadline_s: "float | None" = None,
-        backend: Any = None,
     ) -> "QueryResult":
-        """Algorithm 1: plan (or, on the batch path, reuse) and execute.
+        """Algorithm 1 as one pipeline: validate → plan → execute.
 
-        With the observability layer off (the default) this is exactly the
-        plan+execute pair; with metrics, tracing, or the slow-query hook
-        enabled it additionally records spans, per-phase timers, the
-        Algorithm 1/2 counters, and over-threshold query log lines —
-        without changing any returned value (see the golden suite, which
-        runs bit-identical with tracing on).
+        Validation rejects an unknown vertex or an out-of-range alpha with
+        :class:`QueryValidationError`.  With every observability sink off
+        and no deadline, that is all the pipeline does.  Otherwise it times
+        both phases and fills one per-query record (see the module
+        docstring) that metrics, tracing, the slow-query log and the
+        flight recorder all read — without changing any returned value
+        (the golden suite runs bit-identical with every sink on).
 
         ``deadline_s`` (seconds) arms the graceful-degradation guard: if
         planning plus the hoplink scan exceed the budget the query is
         answered from the exact mean-only fallback instead of failing,
         flagged ``degraded=True`` and counted in
         ``resilience.query.degraded`` (docs/resilience.md).
-
-        ``backend`` pins the kernel backend for this query; callers that
-        answer a stream (the serving plane, ``answer_batch``) resolve it
-        once so no query ever straddles a mid-flight ``NRP_KERNELS`` or
-        ``set_backend`` change.
         """
-        from repro.core.query import QueryStats
-
-        if stats is None:
+        z = self._validate(s, t, alpha)
+        fresh = stats is None
+        if fresh:
             stats = QueryStats()
-        # One backend per query: resolved here (unless pinned by the
-        # caller), recorded in the stats, and threaded through planning
-        # and execution.
-        if backend is None:
-            backend = active_backend()
-        stats.backend = backend.NAME
-        if self._registry.enabled:
-            counter = self._c_backend.get(backend.NAME)
-            if counter is not None:
-                counter.inc()
-        if deadline_s is not None:
-            self._validate_nodes(s, t)
-            return self._answer_deadline(
-                s, t, alpha, use_pruning, stats, use_cache, deadline_s, backend
-            )
-        if not (
-            self._registry.enabled
-            or self._tracer.enabled
-            or self._slow_log.enabled
-        ):
-            if self._flight.enabled:
-                return self._answer_flight(
-                    s, t, alpha, use_pruning, stats, use_cache, backend
-                )
-            plan = self.plan(
-                s, t, alpha, use_pruning, use_cache=use_cache, backend=backend
-            )
-            return self.execute(plan, stats, backend=backend)
-        return self._answer_observed(
-            s, t, alpha, use_pruning, stats, use_cache, backend
-        )
-
-    def _answer_deadline(
-        self,
-        s: int,
-        t: int,
-        alpha: float,
-        use_pruning: bool,
-        stats: "QueryStats",
-        use_cache: bool,
-        deadline_s: float,
-        backend: Any = None,
-    ) -> "QueryResult":
-        """Deadline-armed twin of :meth:`answer` (same answers when on time)."""
-        flight = self._flight
-        plan_hit = sep_hit = False
-        if flight.enabled:
-            plan_hit, sep_hit = self._cache_probe(s, t, alpha, use_pruning, use_cache)
-        before = self._stats_snapshot(stats)
-        plan: QueryPlan | None = None
-        t_start = t_planned = perf_counter()
-        deadline_at = t_start + deadline_s
-        try:
-            self._validate(alpha)  # validation errors are not deadline misses
-            plan = self.plan(
-                s, t, alpha, use_pruning, use_cache=use_cache, backend=backend
-            )
-            t_planned = perf_counter()
-            if t_planned > deadline_at:
-                raise DeadlineExpired(
-                    f"query ({s}, {t}, alpha={alpha}) blew its deadline "
-                    f"during planning"
-                )
-            result = self.execute(
-                plan, stats, deadline_at=deadline_at, backend=backend
-            )
-        except DeadlineExpired:
-            result = self._degraded_answer(s, t, alpha, stats)
-        t_done = perf_counter()
-        if flight.enabled:
-            flight.record(
-                self._flight_record(
-                    plan, result, stats, before, plan_hit, sep_hit,
-                    t_planned - t_start, t_done - t_planned, t_done - t_start,
-                )
-            )
-        return result
-
-    def _degraded_answer(
-        self, s: int, t: int, alpha: float, stats: "QueryStats"
-    ) -> "QueryResult":
-        """The mean-only fallback: a valid path, exact moments, flagged."""
-        from repro.core.query import QueryResult
-
-        index = self.index
-        if self._registry.enabled:
-            self._c_degraded.inc()
-        with self._tracer.span("engine.degraded_fallback", s=s, t=t, alpha=alpha):
-            if s == t:
-                return QueryResult(
-                    s, t, alpha, 0.0, 0.0, 0.0, trivial_path(s), stats, degraded=True
-                )
-            _, route = mean_shortest_path(index.graph, s, t)
-            cov = index.cov if index.correlated else None
-            window = index.window
-            graph = index.graph
-            summary: PathSummary | None = None
-            for u, v in zip(route, route[1:]):
-                weight = graph.edge(u, v)
-                leg = edge_path(u, v, weight.mu, weight.variance, window > 0)
-                summary = (
-                    leg
-                    if summary is None
-                    else concatenate(summary, leg, u, cov, window)
-                )
-            assert summary is not None  # route has >= 2 vertices when s != t
-            z = self.z_of(alpha)
-            value = summary.mu + (
-                z * math.sqrt(summary.var) if summary.var > 0.0 else 0.0
-            )
-            return QueryResult(
-                s, t, alpha, value, summary.mu, summary.var, summary, stats,
-                degraded=True,
-            )
-
-    def _answer_observed(
-        self,
-        s: int,
-        t: int,
-        alpha: float,
-        use_pruning: bool,
-        stats: "QueryStats",
-        use_cache: bool,
-        backend: Any = None,
-    ) -> "QueryResult":
-        """The instrumented twin of :meth:`answer` (same observable results)."""
-        tracer = self._tracer
-        flight = self._flight
-        plan_hit = sep_hit = False
-        if flight.enabled:
-            plan_hit, sep_hit = self._cache_probe(s, t, alpha, use_pruning, use_cache)
-        before = self._stats_snapshot(stats)
-        t_start = perf_counter()
-        with tracer.span("engine.answer", s=s, t=t, alpha=alpha) as outer:
-            with tracer.span("engine.plan"):
-                plan = self.plan(
-                    s, t, alpha, use_pruning, use_cache=use_cache, backend=backend
-                )
-            t_planned = perf_counter()
-            with tracer.span("engine.execute", case=plan.case):
-                result = self.execute(plan, stats, backend=backend)
-            t_done = perf_counter()
-            outer.set(case=plan.case, value=result.value)
-        elapsed = t_done - t_start
         registry = self._registry
+        tracer = self._tracer
+        slow = self._slow_log
+        flight = self._flight
+        if not (
+            registry.enabled
+            or tracer.enabled
+            or slow.enabled
+            or flight.enabled
+            or deadline_s is not None
+        ):
+            plan = self._plan(s, t, alpha, z, use_pruning, use_cache)[0]
+            return self.execute(plan, stats)
+
+        # The record needs this query's own counts: they accumulate apart
+        # and merge into a caller's shared accumulator at the end.
+        own = stats if fresh else QueryStats()
+        t_start = perf_counter_ns()
+        plan, plan_hit, sep_hit = self._plan(s, t, alpha, z, use_pruning, use_cache)
+        t_planned = perf_counter_ns()
+        try:
+            if deadline_s is None:
+                result = self.execute(plan, own)
+            else:
+                deadline_at = t_start + int(deadline_s * 1e9)
+                if t_planned > deadline_at:
+                    raise DeadlineExpired(
+                        f"query ({s}, {t}, alpha={alpha}) blew its deadline "
+                        f"during planning"
+                    )
+                result = self.execute(plan, own, deadline_at=deadline_at)
+        except DeadlineExpired:
+            result = self._degraded_answer(s, t, alpha, own)
+        t_done = perf_counter_ns()
+        if own is not stats:
+            stats.merge(own)
+            result.stats = stats
+        case = "degraded" if result.degraded else plan.case
+        plan_ns, execute_ns = t_planned - t_start, t_done - t_planned
+        record = (
+            s, t, alpha,
+            plan.plane.direction if plan.plane is not None else "-",
+            case, plan.lca_depth, BACKEND, plan_hit, sep_hit,
+            plan_ns, execute_ns, plan_ns + execute_ns,
+            own.hoplinks, own.label_lookups, own.candidate_paths,
+            own.surviving_paths, own.concatenations,
+            plan.pruned_prop2, plan.pruned_prop3, plan.pruned_prop5,
+            result.degraded, result_digest(result),
+        )
         if registry.enabled:
             self._c_queries.inc()
-            self._c_hoplinks.inc(stats.hoplinks - before[0])
-            self._c_concatenations.inc(stats.concatenations - before[1])
-            self._c_label_lookups.inc(stats.label_lookups - before[2])
-            self._c_candidate_paths.inc(stats.candidate_paths - before[3])
-            self._c_surviving_paths.inc(stats.surviving_paths - before[4])
+            self._c_hoplinks.inc(own.hoplinks)
+            self._c_concatenations.inc(own.concatenations)
+            self._c_label_lookups.inc(own.label_lookups)
+            self._c_candidate_paths.inc(own.candidate_paths)
+            self._c_surviving_paths.inc(own.surviving_paths)
             # Memoised plans keep their prune attribution, so these count
             # pruning power applied per answered query, cached or not.
             self._c_prop2.inc(plan.pruned_prop2)
             self._c_prop3.inc(plan.pruned_prop3)
             self._c_prop5.inc(plan.pruned_prop5)
+            if use_cache and plan.case != "trivial":
+                (self._c_plan_hit if plan_hit else self._c_plan_miss).inc()
+            if not plan_hit and plan.case == "separator":
+                # Only a plan built by this query looked up separators and pruned.
+                (self._c_sep_hit if sep_hit else self._c_sep_miss).inc()
+                if plan.pruning:
+                    self._c_prune.inc(2 * len(plan.tasks))
+            if case == "ancestor":
+                self._c_scan.inc()
+            elif case == "separator" and not self.index.correlated:
+                self._c_scan.inc(own.hoplinks)
+            if result.degraded:
+                self._c_degraded.inc()
+            elapsed = (plan_ns + execute_ns) / 1e9
             self._t_answer.observe(elapsed)
-            self._t_plan.observe(t_planned - t_start)
-            self._t_execute.observe(t_done - t_planned)
+            self._t_plan.observe(plan_ns / 1e9)
+            self._t_execute.observe(execute_ns / 1e9)
             self._h_query.observe(elapsed)
-        slow = self._slow_log
-        if slow.enabled and slow.threshold_s is not None and elapsed >= slow.threshold_s:
-            from repro.core.query import QueryStats
-
-            lca_depth = (
-                self.index.td.depth[plan.lca] if plan.lca is not None else -1
+        if tracer.enabled:
+            start, planned, done = t_start / 1e9, t_planned / 1e9, t_done / 1e9
+            outer = tracer.add(
+                "engine.answer", start, done,
+                s=s, t=t, alpha=alpha, case=case, value=result.value,
             )
-            # Per-query deltas, so a shared workload accumulator doesn't
-            # leak other queries' counts into the log line.
-            own = QueryStats(
-                hoplinks=stats.hoplinks - before[0],
-                concatenations=stats.concatenations - before[1],
-                label_lookups=stats.label_lookups - before[2],
-                candidate_paths=stats.candidate_paths - before[3],
-                surviving_paths=stats.surviving_paths - before[4],
-                backend=stats.backend,
-            )
-            slow.log(elapsed, plan, own, lca_depth)
-            if registry.enabled:
-                self._c_slow.inc()
+            tracer.add("engine.plan", start, planned, parent=outer)
+            tracer.add("engine.execute", planned, done, parent=outer, case=case)
+        if slow.enabled and slow.log(record) and registry.enabled:
+            self._c_slow.inc()
         if flight.enabled:
-            flight.record(
-                self._flight_record(
-                    plan, result, stats, before, plan_hit, sep_hit,
-                    t_planned - t_start, t_done - t_planned, elapsed,
-                )
-            )
-        return result
-
-    # ------------------------------------------------------------------
-    # Flight recorder (see repro.obs.flight and docs/observability.md)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _stats_snapshot(stats: "QueryStats") -> tuple[int, int, int, int, int]:
-        return (
-            stats.hoplinks,
-            stats.concatenations,
-            stats.label_lookups,
-            stats.candidate_paths,
-            stats.surviving_paths,
-        )
-
-    def _cache_probe(
-        self, s: int, t: int, alpha: float, use_pruning: bool, use_cache: bool
-    ) -> tuple[bool, bool]:
-        """Would this query hit the plan/separator caches?  Pure membership
-        checks mirroring :meth:`plan`'s key (``pruning`` there is
-        ``use_pruning and plane.direction != "low"``, i.e. ``alpha >= 0.5``),
-        taken *before* planning so the flight record carries hit/miss
-        attribution without threading flags through the plan path."""
-        plan_hit = (
-            use_cache
-            and (s, t, alpha, use_pruning and alpha >= 0.5) in self._plan_cache
-        )
-        sep_hit = (s, t) in self._separator_cache
-        return plan_hit, sep_hit
-
-    def _flight_record(
-        self,
-        plan: "QueryPlan | None",
-        result: "QueryResult",
-        stats: "QueryStats",
-        before: tuple[int, int, int, int, int],
-        plan_hit: bool,
-        sep_hit: bool,
-        plan_s: float,
-        execute_s: float,
-        total_s: float,
-    ) -> tuple:
-        """One flight-record tuple (``repro.obs.flight.FLIGHT_FIELDS`` order).
-
-        ``plan`` is None only when a deadline expired during planning; the
-        record is then the degraded fallback's ("degraded" case, no plane).
-        """
-        if plan is not None:
-            plane = plan.plane.direction if plan.plane is not None else "-"
-            case = "degraded" if result.degraded else plan.case
-            lca_depth = (
-                self.index.td.depth[plan.lca] if plan.lca is not None else -1
-            )
-            sep_hit = sep_hit and plan.case == "separator"
-            p2, p3, p5 = plan.pruned_prop2, plan.pruned_prop3, plan.pruned_prop5
-        else:
-            plane, case, lca_depth = "-", "degraded", -1
-            sep_hit = False
-            p2 = p3 = p5 = 0
-        return (
-            result.source,
-            result.target,
-            result.alpha,
-            plane,
-            case,
-            lca_depth,
-            stats.backend,
-            plan_hit,
-            sep_hit,
-            int(plan_s * 1e9),
-            int(execute_s * 1e9),
-            int(total_s * 1e9),
-            stats.hoplinks - before[0],
-            stats.label_lookups - before[2],
-            stats.candidate_paths - before[3],
-            stats.surviving_paths - before[4],
-            stats.concatenations - before[1],
-            p2,
-            p3,
-            p5,
-            result.degraded,
-            result_digest(result),
-        )
-
-    def _answer_flight(
-        self,
-        s: int,
-        t: int,
-        alpha: float,
-        use_pruning: bool,
-        stats: "QueryStats",
-        use_cache: bool,
-        backend: Any = None,
-    ) -> "QueryResult":
-        """The flight-only twin of :meth:`answer`: taken when the recorder
-        is armed but every aggregate sink is off, so a captured workload
-        doesn't pay the span/metrics overhead of :meth:`_answer_observed`
-        (the <3% armed budget of ``bench_flight_overhead.py``)."""
-        flight = self._flight
-        plan_hit, sep_hit = self._cache_probe(s, t, alpha, use_pruning, use_cache)
-        before = self._stats_snapshot(stats)
-        t_start = perf_counter()
-        plan = self.plan(
-            s, t, alpha, use_pruning, use_cache=use_cache, backend=backend
-        )
-        t_planned = perf_counter()
-        result = self.execute(plan, stats, backend=backend)
-        t_done = perf_counter()
-        if flight.enabled:
-            flight.record(
-                self._flight_record(
-                    plan, result, stats, before, plan_hit, sep_hit,
-                    t_planned - t_start, t_done - t_planned, t_done - t_start,
-                )
-            )
+            flight.record(record)
         return result
 
     def answer_batch(
@@ -848,7 +649,6 @@ class QueryEngine:
         stats: "QueryStats | None" = None,
         per_query_stats: bool = False,
         deadline_s: "float | None" = None,
-        backend: Any = None,
     ) -> "list[QueryResult]":
         """Answer a workload, sharing plans across repeated triples.
 
@@ -863,28 +663,21 @@ class QueryEngine:
         every query in the batch gets its own ``deadline_s`` seconds and
         degrades individually to the mean-only fallback on expiry, so
         server micro-batching keeps the resilience layer's degradation
-        guard.  ``backend`` pins the kernel backend for every query in
-        the batch (resolved once here when not given), so a batch never
-        straddles a mid-flight ``NRP_KERNELS``/``set_backend`` change.
+        guard.
         """
-        from repro.core.query import QueryStats
-
-        if backend is None:
-            backend = active_backend()
         results = []
         for s, t, alpha in queries:
             if per_query_stats:
-                own = QueryStats()
                 result = self.answer(
-                    s, t, alpha, use_pruning, own,
-                    use_cache=True, deadline_s=deadline_s, backend=backend,
+                    s, t, alpha, use_pruning, None,
+                    use_cache=True, deadline_s=deadline_s,
                 )
                 if stats is not None:
-                    stats.merge(own)
+                    stats.merge(result.stats)
             else:
                 result = self.answer(
                     s, t, alpha, use_pruning, stats,
-                    use_cache=True, deadline_s=deadline_s, backend=backend,
+                    use_cache=True, deadline_s=deadline_s,
                 )
             results.append(result)
         return results

@@ -7,6 +7,7 @@ figure/table runners can sweep workloads uniformly.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -122,9 +123,15 @@ class AlgorithmSuite:
         return self._fns[name]
 
     def run(self, name: str, queries: list[Query]) -> WorkloadResult:
-        """Time one algorithm over a workload."""
+        """Time one algorithm over a workload.
+
+        Garbage left by earlier work (an index build, another algorithm's
+        run) is collected first, so a full collection it owes does not
+        land inside — and get charged to — this algorithm's timing.
+        """
         fn = self._fns[name]
         values: list[float] = []
+        gc.collect()
         start = time.perf_counter()
         for q in queries:
             values.append(fn(q))

@@ -5,7 +5,7 @@ did the slow/wrong query do?* — and the metrics registry can only answer
 in aggregates while the slow-query log only samples outliers.  The
 flight recorder closes that gap: while armed it keeps the last
 ``capacity`` answered queries as compact structured records (the triple,
-alpha, chosen plane, LCA depth, kernel backend, plan/separator-cache
+alpha, chosen plane, LCA depth, kernel set, plan/separator-cache
 hits, per-phase nanosecond timings, per-proposition prune counts, the
 degraded flag, and a bit-exact result digest), overwriting the oldest
 record once full, so memory stays bounded no matter how long the process
@@ -61,7 +61,7 @@ FLIGHT_FIELDS = (
     "plane",            # "high" | "low" | "-"
     "case",             # "trivial" | "ancestor" | "separator" | "degraded"
     "lca_depth",        # -1 when no LCA applies
-    "backend",          # kernel backend that answered ("python"/"vector")
+    "backend",          # kernel set that answered: "python" ("vector" in older files)
     "plan_cache_hit",
     "separator_cache_hit",
     "plan_ns",

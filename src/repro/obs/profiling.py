@@ -20,7 +20,8 @@ import logging
 import sys
 import threading
 from time import perf_counter
-from typing import Any
+
+from repro.obs.flight import FLIGHT_FIELDS
 
 __all__ = [
     "SamplingProfiler",
@@ -120,11 +121,14 @@ class SamplingProfiler:
         }
 
 
+_TOTAL_NS = FLIGHT_FIELDS.index("total_ns")
+
+
 class SlowQueryLog:
     """Deadline hook: log one diagnosable line per over-threshold query.
 
     Disabled until a threshold is set (``threshold_s = None``).  The
-    engine calls :meth:`log` with the executed plan; the emitted line
+    engine calls :meth:`log` with each query's record; the emitted line
     contains everything needed to understand the query's cost shape:
     plane direction, LCA depth, hoplink count, candidate/surviving path
     counts, and per-proposition prune counts.
@@ -149,32 +153,38 @@ class SlowQueryLog:
         """Zero the logged-entry count (the threshold is left configured)."""
         self.logged = 0
 
-    def log(self, elapsed_s: float, plan: Any, stats: Any, lca_depth: int = -1) -> bool:
-        """Emit the slow-query line if ``elapsed_s`` is over threshold."""
+    def log(self, record: tuple) -> bool:
+        """Emit the slow-query line if the query's ``total_ns`` is over threshold.
+
+        ``record`` is the engine's per-query record, a flight-record tuple
+        in :data:`repro.obs.flight.FLIGHT_FIELDS` order.
+        """
         threshold = self.threshold_s
+        elapsed_s = record[_TOTAL_NS] / 1e9
         if threshold is None or elapsed_s < threshold:
             return False
-        plane = plan.plane.direction if plan.plane is not None else "-"
+        (s, t, alpha, plane, case, lca_depth, backend, _, _, _, _, _, hoplinks,
+         _, candidates, survivors, concatenations, p2, p3, p5, _, _) = record
         self._logger.warning(
             "slow query s=%d t=%d alpha=%g case=%s plane=%s elapsed_ms=%.3f "
             "lca_depth=%d hoplinks=%d candidates=%d survivors=%d "
             "pruned_prop2=%d pruned_prop3=%d pruned_prop5=%d concatenations=%d "
             "backend=%s",
-            plan.s,
-            plan.t,
-            plan.alpha,
-            plan.case,
+            s,
+            t,
+            alpha,
+            case,
             plane,
             elapsed_s * 1000.0,
             lca_depth,
-            len(plan.hoplinks),
-            stats.candidate_paths,
-            stats.surviving_paths,
-            plan.pruned_prop2,
-            plan.pruned_prop3,
-            plan.pruned_prop5,
-            stats.concatenations,
-            getattr(stats, "backend", "") or "-",
+            hoplinks,
+            candidates,
+            survivors,
+            p2,
+            p3,
+            p5,
+            concatenations,
+            backend or "-",
         )
         self.logged += 1
         return True

@@ -110,6 +110,38 @@ class Tracer:
             return _NOOP
         return Span(self, name, attrs)
 
+    def add(
+        self,
+        name: str,
+        start: float,
+        end: float,
+        parent: "Span | None" = None,
+        **attrs: Any,
+    ) -> Span:
+        """Record a span the caller already timed (``perf_counter`` seconds).
+
+        Its parent is ``parent`` when given, else the span open on this
+        thread — so hot paths that time their phases anyway can emit them
+        after the fact instead of entering nested context managers.  Call
+        only while enabled.
+        """
+        span = Span(self, name, attrs)
+        if parent is not None:
+            span.parent = parent.id
+        else:
+            stack = self._stack()
+            span.parent = stack[-1].id if stack else -1
+        span.start = start
+        span.end = end
+        with self._lock:
+            span.id = self._next_id
+            self._next_id += 1
+            if len(self._spans) < self.max_spans:
+                self._spans.append(span)
+            else:
+                self.dropped += 1
+        return span
+
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)
         if stack is None:

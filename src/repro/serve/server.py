@@ -45,7 +45,7 @@ and a ``ThreadingTCPServer`` speaking the NDJSON protocol of
   damage while in-flight requests keep answering from the old index.
 
 Everything is stdlib; per-query results are bit-identical to the CLI
-path (same engine, same kernels — pinned to one backend at startup).
+path (same engine, same kernels).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import threading
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Any
 
-from repro.core.kernels import active_backend
+from repro.core.kernels import BACKEND
 from repro.obs import get_registry
 from repro.resilience import InjectedFaultError, QueryValidationError
 from repro.resilience.failpoints import failpoint
@@ -181,6 +181,11 @@ class _TCPServer(socketserver.ThreadingTCPServer):
 class _Handler(socketserver.StreamRequestHandler):
     """One connection: sniff HTTP vs NDJSON, then serve until EOF."""
 
+    # Replies are small writes: without TCP_NODELAY, Nagle's algorithm
+    # holds the second of two pipelined replies until the client's
+    # delayed ACK of the first (~40 ms).
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         qs = self.server.query_server  # type: ignore[attr-defined]
         line = self.rfile.readline(MAX_LINE_BYTES + 1)
@@ -218,6 +223,12 @@ class _Handler(socketserver.StreamRequestHandler):
                     return
                 self.wfile.write(payload)
                 if request.op == "shutdown":
+                    # Stop only once the ack is written: the CLI's wait()
+                    # returns as soon as stop() begins and the process
+                    # exits right after, taking an unwritten ack with it.
+                    threading.Thread(
+                        target=qs.stop, name="serve-stop", daemon=True
+                    ).start()
                     return
             line = self.rfile.readline(MAX_LINE_BYTES + 1)
 
@@ -248,8 +259,7 @@ class QueryServer:
     ``port=0`` binds an ephemeral port (read it back from ``.port`` after
     :meth:`start`).  ``default_deadline_ms`` applies to query requests
     that carry no ``deadline_ms`` of their own; ``None`` means no
-    deadline.  The kernel backend is resolved **once**, at construction,
-    so no query ever straddles a mid-flight backend change.
+    deadline.
     """
 
     def __init__(
@@ -289,7 +299,6 @@ class QueryServer:
         self.monitor = monitor if monitor is not None else HealthMonitor()
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.stats = ServerStats()
-        self._backend = active_backend()
         self._queue: "queue.Queue[_Pending]" = queue.Queue(maxsize=queue_capacity)
         self._stop = threading.Event()
         self._stop_lock = threading.Lock()
@@ -455,7 +464,7 @@ class QueryServer:
                 "id": request.id,
                 "ok": True,
                 "schema": PROTOCOL_SCHEMA,
-                "backend": self._backend.NAME,
+                "backend": BACKEND,
                 "n": self.index.graph.num_vertices,
             }
         if op == "stats":
@@ -468,7 +477,7 @@ class QueryServer:
                     "queue_capacity": self.queue_capacity,
                     "workers": self.workers,
                     "batch_max": self.batch_max,
-                    "backend": self._backend.NAME,
+                    "backend": BACKEND,
                     "health": self.monitor.state,
                     "circuit": self.breaker.state,
                 }
@@ -490,9 +499,8 @@ class QueryServer:
         if op == "reload":
             return self.reload(request.path, req_id=request.id)
         if op == "shutdown":
-            # Ack first, then stop from a separate thread so this
-            # connection's response gets out before the socket closes.
-            threading.Thread(target=self.stop, name="serve-stop", daemon=True).start()
+            # The connection handler stops the server once this ack is
+            # written (see _Handler.handle).
             return {"id": request.id, "ok": True, "stopping": True}
         return self._submit(request)
 
@@ -678,7 +686,6 @@ class QueryServer:
                 self._finish_error(pending, "circuit_open", "engine circuit open")
             return
         engine = self.index.engine
-        backend = self._backend
         use_batch = self.batch_max > 1
         results: "list[Any] | None" = None
         if use_batch:
@@ -692,7 +699,6 @@ class QueryServer:
                     use_pruning=pruning,
                     per_query_stats=True,
                     deadline_s=deadline_s,
-                    backend=backend,
                 )
             except Exception:
                 # One bad query fails answer_batch on first raise; redo
@@ -714,15 +720,9 @@ class QueryServer:
                     pruning,
                     use_cache=use_batch,
                     deadline_s=deadline_s,
-                    backend=backend,
                 )
             except QueryValidationError as exc:
                 self._finish_error(pending, "invalid", str(exc))
-            except KeyError as exc:
-                # deadline-less answers skip _validate_nodes and hit the
-                # adjacency dict directly; render it as the same refusal
-                vertex = exc.args[0] if exc.args else exc
-                self._finish_error(pending, "invalid", f"unknown vertex {vertex}")
             except ValueError as exc:
                 self._finish_error(pending, "unreachable", str(exc))
             except Exception as exc:  # keep the worker alive no matter what
@@ -747,7 +747,7 @@ class QueryServer:
             query_response(
                 pending.request.id,
                 result,
-                backend=self._backend.NAME,
+                backend=BACKEND,
                 wait_us=max(0, (picked_ns - pending.enqueued_ns) // 1000),
                 batch=batch_size,
             )

@@ -132,7 +132,7 @@ class TestFixtures:
         assert counts["bad_lock_discipline.py"] == 5
         assert counts["bad_blocking_lock.py"] == 3  # sleep + one-hop I/O + get
         assert counts["bad_atomic_write.py"] == 3  # index + wal + sidecar
-        assert counts["bad_param_threading.py"] == 3  # 2 dropped kw + 1 helper
+        assert counts["bad_param_threading.py"] == 3  # 1 method + 2 helpers
 
 
 class TestSuppressions:
@@ -380,17 +380,16 @@ class TestCliGate:
             "\n"
             "\n"
             "class Engine:\n"
-            "    def answer(self, s, t, deadline_s=None, backend=None):\n"
-            "        return (s, t, deadline_s, backend)\n"
+            "    def answer(self, s, t, deadline_s=None):\n"
+            "        return (s, t, deadline_s)\n"
             "\n"
-            "    def answer_batch(self, qs, deadline_s=None, backend=None):\n"
+            "    def answer_batch(self, qs, deadline_s=None):\n"
             "        return [self.answer(s, t) for s, t in qs]\n"
         )
         proc = _run_cli(str(tmp_path), "--no-baseline")
         assert proc.returncode == 1
         assert "NRP011" in proc.stdout
         assert "drops deadline_s" in proc.stdout
-        assert "drops backend" in proc.stdout
 
     def test_cli_json_output_is_schema_valid(self):
         proc = _run_cli(str(FIXTURES), "--format", "json", "--no-baseline")

@@ -89,10 +89,9 @@ class TestGoldenWithObservation:
 class TestDisabledOverhead:
     def test_disabled_guard_within_two_percent(self):
         """With observation off, ``answer()`` pays exactly one combined
-        guard (``registry.enabled or tracer.enabled or slow.enabled``);
-        separator/plan-cache guards sit behind cache misses.  Measure the
-        guard against real per-query latency and budget two guards per
-        query for slack: still < 2%."""
+        guard (every sink's ``enabled`` flag plus ``deadline_s is None``).
+        Measure the guard against real per-query latency and budget two
+        guards per query for slack: still < 2%."""
         index = build_index(make_random_instance(99, n=24, extra=20, cv=0.6))
         rng = random.Random(5)
         vertices = sorted(index.graph.vertices())
@@ -117,12 +116,16 @@ class TestDisabledOverhead:
         engine = index.engine
         n = 200_000
 
+        deadline_s = None
+
         def guard_loop():
             for _ in range(n):
                 if (
                     engine._registry.enabled
                     or engine._tracer.enabled
                     or engine._slow_log.enabled
+                    or engine._flight.enabled
+                    or deadline_s is not None
                 ):
                     pass
 

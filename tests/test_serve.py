@@ -11,8 +11,14 @@ engine path: the daemon must never change a result, only its transport.
 from __future__ import annotations
 
 import json
+import os
+import random
 import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -490,3 +496,58 @@ class TestSelfHealingSatellites:
                 ack = client.reload()
         assert not ack["ok"] and ack["error"] == "reload_failed"
         assert "not file-backed" in ack["detail"]
+
+
+# ----------------------------------------------------------------------
+# Socket defects: Nagle stalls on pipelined replies, a lost shutdown ack
+# ----------------------------------------------------------------------
+class TestSocketDefects:
+    def test_pipelined_lines_answered_without_nagle_stall(self, serve_index):
+        """Two query lines sent together come back in well under the
+        ~40 ms a delayed ACK holds a Nagle-buffered second reply."""
+        rng = random.Random(3)
+        lines = b"".join(
+            encode_message({"op": "query", "id": i, "s": s, "t": t, "alpha": alpha})
+            for i, (s, t, alpha) in enumerate(
+                random_query(serve_index.graph, rng) for _ in range(2)
+            )
+        )
+        with QueryServer(serve_index, workers=1, batch_max=8) as qs:
+            with socket.create_connection(("127.0.0.1", qs.port), timeout=10) as sock:
+                reader = sock.makefile("rb")
+                took = []
+                for _ in range(9):
+                    started = time.perf_counter()
+                    sock.sendall(lines)
+                    replies = [json.loads(reader.readline()) for _ in range(2)]
+                    took.append(time.perf_counter() - started)
+                    assert [r["ok"] for r in replies] == [True, True]
+        # The first exchange is fast either way (the peer still ACKs
+        # quickly on a fresh connection); the stall shows from the second.
+        median = sorted(took)[len(took) // 2]
+        assert median < 0.020, f"pipelined pair took {median * 1e3:.1f} ms"
+
+    def test_spawned_daemon_acks_shutdown_and_exits_zero(self, tmp_path):
+        index_file = tmp_path / "ack.nrp.json"
+        assert main(
+            ["build", "--dataset", "NY", "--scale", "0.15", "--output", str(index_file)]
+        ) == 0
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for _ in range(4):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--index", str(index_file),
+                 "--port", "0"],
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, text=True,
+            )
+            try:
+                banner = proc.stdout.readline()
+                port = int(banner.rsplit(":", 1)[1])
+                with ServeClient(port=port) as client:
+                    ack = client.shutdown()
+                assert ack["ok"] and ack["stopping"]
+                assert proc.wait(timeout=20) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
